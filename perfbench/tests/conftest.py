@@ -1,0 +1,7 @@
+"""Make the benchmark's modules importable as top-level modules, the
+way ``run.py`` imports them."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
