@@ -110,8 +110,28 @@ def config_fingerprint(config: CoreConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _static_prefix(instr) -> str:
+    """Leading part of one entry's digest record: the repr of its
+    static instruction fields, up to where the dynamic fields start."""
+    return repr((
+        instr.op.name,
+        instr.rd and repr(instr.rd), instr.rn and repr(instr.rn),
+        instr.rm and repr(instr.rm), instr.ra and repr(instr.ra),
+        instr.rs and repr(instr.rs),
+        instr.imm, instr.shift.name, instr.shift_amt,
+        instr.set_flags, instr.cond.name, instr.target,
+        instr.dtype and instr.dtype.name, instr.scale,
+    ))[:-1] + ", "
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Stable digest of a dynamic trace's timing-relevant content.
+
+    Each entry contributes the repr of one flat tuple of its static
+    instruction fields followed by its dynamic fields.  The static
+    part is built once per static instruction and only the dynamic
+    tail is formatted per entry; the bytes (and so the digest) are the
+    same as formatting the whole tuple per entry.
 
     Memoised on the trace object: campaigns and bench sessions probe
     the cache once per (core, mode) for the same trace.
@@ -121,19 +141,16 @@ def trace_fingerprint(trace: Trace) -> str:
         return memo
     sha = hashlib.sha256()
     sha.update(trace.name.encode())
+    prefixes: Dict[int, str] = {}
     for entry in trace.entries:
         instr = entry.instr
-        sha.update(repr((
-            instr.op.name,
-            instr.rd and repr(instr.rd), instr.rn and repr(instr.rn),
-            instr.rm and repr(instr.rm), instr.ra and repr(instr.ra),
-            instr.rs and repr(instr.rs),
-            instr.imm, instr.shift.name, instr.shift_amt,
-            instr.set_flags, instr.cond.name, instr.target,
-            instr.dtype and instr.dtype.name, instr.scale,
-            entry.pc, entry.next_pc, entry.taken, entry.op_width,
-            entry.mem_addr, entry.mem_size, entry.is_store,
-        )).encode())
+        prefix = prefixes.get(id(instr))
+        if prefix is None:
+            prefix = prefixes[id(instr)] = _static_prefix(instr)
+        sha.update((
+            f"{prefix}{entry.pc!r}, {entry.next_pc!r}, {entry.taken!r}, "
+            f"{entry.op_width!r}, {entry.mem_addr!r}, {entry.mem_size!r}, "
+            f"{entry.is_store!r})").encode())
     digest = sha.hexdigest()
     trace._fingerprint = digest
     return digest

@@ -3,12 +3,13 @@
 A :class:`CampaignJob` names one simulation — ``(suite, benchmark,
 core, mode)`` plus an optional scale override — without holding any
 heavyweight state, so jobs pickle cheaply across process boundaries.
-Traces and configs are materialised lazily (and memoised per process)
-by :func:`job_trace` / :func:`job_config`.
+Traces and configs are materialised lazily by :func:`job_trace` /
+:func:`job_config`; traces are memoised per process in a bounded LRU.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -109,23 +110,40 @@ def smoke_jobs(modes: Optional[Sequence[str]] = None,
     return jobs
 
 
-#: per-process trace memo so a worker simulating several (core, mode)
-#: combinations of one benchmark regenerates its trace only once
-_TRACE_MEMO: Dict[Tuple[str, str, Optional[int]], Trace] = {}
+#: dynamic-entry budget of the per-process trace memo.  Traces carry
+#: their lowered columns (and the vector engine's decode columns), so a
+#: long-lived worker that sees many distinct workloads would otherwise
+#: pin all of them; campaign jobs arrive grouped by trace, so keeping
+#: the latest few is enough for every (core, mode) job to reuse one
+TRACE_MEMO_ENTRIES = 16_384
+
+#: per-process LRU of generated traces, least recently used first; it
+#: always keeps the most recent trace, even one over the budget
+_TRACE_MEMO: OrderedDict[Tuple[str, str, Optional[int]], Trace] = OrderedDict()
 
 
 def job_trace(job: CampaignJob) -> Trace:
     """Materialise (and memoise) the dynamic trace for *job*."""
     memo_key = (job.suite, job.bench, job.scale)
     trace = _TRACE_MEMO.get(memo_key)
-    if trace is None:
-        builder = SUITES[job.suite][job.bench]
-        if job.scale is not None:
-            kwargs: Dict[str, int] = {"scale": job.scale}
-        else:
-            kwargs = default_scale(job.suite, job.bench)
-        trace = generate_trace(builder(**kwargs))
-        _TRACE_MEMO[memo_key] = trace
+    if trace is not None:
+        _TRACE_MEMO.move_to_end(memo_key)
+        return trace
+    builder = SUITES[job.suite][job.bench]
+    if job.scale is not None:
+        kwargs: Dict[str, int] = {"scale": job.scale}
+    else:
+        kwargs = default_scale(job.suite, job.bench)
+    trace = generate_trace(builder(**kwargs))
+    _TRACE_MEMO[memo_key] = trace
+    held = sum(len(t) for t in _TRACE_MEMO.values())
+    while held > TRACE_MEMO_ENTRIES and len(_TRACE_MEMO) > 1:
+        _, evicted = _TRACE_MEMO.popitem(last=False)
+        held -= len(evicted)
+        # the lowered columns (which carry the vector engine's decode
+        # columns) point back at their trace: unlinking them lets
+        # reference counting free both now, not at a later GC pass
+        evicted.__dict__.pop("_lowered", None)
     return trace
 
 

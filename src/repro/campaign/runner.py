@@ -373,6 +373,9 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
                 for record in future.result():
                     finish(record)
     else:
+        # per-job futures balance the load; the trace memo still lets
+        # each worker generate a trace once, since jobs arrive grouped
+        # by trace (contiguous chunks were slower here: EXPERIMENTS.md)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_job, job, str(cache_root),
                                    force, profile_arg)

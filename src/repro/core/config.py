@@ -73,11 +73,14 @@ class CoreConfig:
     #: simulation backend (timing-irrelevant: every registered engine is
     #: cycle-identical, enforced by the CI backend-equivalence matrix).
     #: ``reference`` forces the per-cycle step loop, ``fast`` is the
-    #: event-driven skip-ahead loop, ``compiled`` lowers the trace into
-    #: flat columns and runs specialized straight-line code, ``vector``
-    #: replays the lowered columns with memoized NumPy decode passes
-    #: and supports batched multi-trace runs (requires numpy>=1.24)
-    engine: str = "fast"
+    #: event-driven skip-ahead loop, ``compiled`` (the default) lowers
+    #: the trace into flat columns and runs specialized straight-line
+    #: code, falling back to the event-driven loop for observed runs;
+    #: ``vector`` replays the lowered columns with memoized NumPy
+    #: decode passes and supports batched multi-trace runs (requires
+    #: numpy>=1.24).  The engine is part of every result-cache key, so
+    #: results cached under another default miss once
+    engine: str = "compiled"
     skewed_select: bool = True
     #: run the Eager-Grandparent (GP) select phase at all; False keeps
     #: transparent execution but never co-issues children with their

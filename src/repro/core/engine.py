@@ -5,12 +5,13 @@ The cycle model has one semantics and several implementations:
 * ``reference`` — the per-cycle :meth:`CoreSimulator._step` loop, one
   cycle at a time, observability-friendly.  Slowest, simplest, the
   differential oracle every other backend is checked against.
-* ``fast`` — the event-driven skip-ahead loop (PR 5); bit-identical to
+* ``fast`` — the event-driven skip-ahead loop; bit-identical to
   ``reference`` by construction and by CI.
-* ``compiled`` — lowers the dynamic trace into flat parallel columns
-  (:mod:`repro.core.lower`) and runs a config-specialized engine
-  (:mod:`repro.core.compiled`).  Falls back to ``reference`` whenever
-  an observer is attached (the compiled loop has no probe points).
+* ``compiled`` — the ``CoreConfig.engine`` default: lowers the dynamic
+  trace into flat parallel columns (:mod:`repro.core.lower`) and runs
+  a config-specialized engine (:mod:`repro.core.compiled`).  Falls
+  back to the event-driven loop whenever an observer is attached (the
+  compiled loop has no probe points).
 * ``vector`` — NumPy columnar replay (:mod:`repro.core.vector`):
   decode, width-class and branch-resolution columns precomputed as
   whole-array gathers and memoized per trace, plus batch lanes

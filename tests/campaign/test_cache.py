@@ -201,10 +201,11 @@ class TestEngineInvalidation:
     """Switching ``engine=`` can never serve a stale cached result."""
 
     def test_engine_changes_key(self, tiny_trace, config):
+        fast = replace(config, engine="fast")
         compiled = replace(config, engine="compiled")
         reference = replace(config, engine="reference")
         keys = {result_key(tiny_trace, c)
-                for c in (config, compiled, reference)}
+                for c in (fast, compiled, reference)}
         assert len(keys) == 3
 
     def test_lowering_digest_changes_key(self, tiny_trace, config,
@@ -228,3 +229,49 @@ class TestEngineInvalidation:
         assert len(cache) == 2
         # ... and (being bit-identical backends) agree on the physics
         assert asdict(compiled.stats) == asdict(fast.stats)
+
+
+class TestTraceFingerprintDigest:
+    """The fingerprint is part of every cache key: its bytes must never
+    drift, or every existing cache silently goes cold."""
+
+    #: digests of the smoke traces at their default scales
+    SMOKE_DIGESTS = {
+        ("spec", "soplex"):
+            "3c21eaaaf3f27dac6a58c40d5fdea44420003368f76b4d52de9fb240f5684add",
+        ("mibench", "bitcnt"):
+            "06e4a379932dca2630fc2a87a2f8ea2ee60d35b0585a2e31604cd3ad28421a31",
+        ("ml", "pool0"):
+            "22f52635dd938ecb7431e4e7e6e8b47ad9d84834d519413ce1b56f4f1c23ae81",
+    }
+
+    @pytest.mark.parametrize("suite,bench", sorted(SMOKE_DIGESTS))
+    def test_smoke_digests_pinned(self, suite, bench):
+        from repro.workloads.suites import default_scale
+
+        trace = generate_trace(
+            SUITES[suite][bench](**default_scale(suite, bench)))
+        assert trace_fingerprint(trace) == \
+            self.SMOKE_DIGESTS[(suite, bench)]
+
+    def test_matches_whole_tuple_repr(self):
+        # the definition the pinned digests were first computed with:
+        # one repr of the full static + dynamic tuple per entry
+        import hashlib
+
+        trace = generate_trace(SUITES["ml"]["pool0"](scale=2))
+        sha = hashlib.sha256(trace.name.encode())
+        for entry in trace.entries:
+            instr = entry.instr
+            sha.update(repr((
+                instr.op.name,
+                instr.rd and repr(instr.rd), instr.rn and repr(instr.rn),
+                instr.rm and repr(instr.rm), instr.ra and repr(instr.ra),
+                instr.rs and repr(instr.rs),
+                instr.imm, instr.shift.name, instr.shift_amt,
+                instr.set_flags, instr.cond.name, instr.target,
+                instr.dtype and instr.dtype.name, instr.scale,
+                entry.pc, entry.next_pc, entry.taken, entry.op_width,
+                entry.mem_addr, entry.mem_size, entry.is_store,
+            )).encode())
+        assert trace_fingerprint(trace) == sha.hexdigest()

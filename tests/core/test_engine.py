@@ -74,8 +74,8 @@ class TestRegistry:
         registry.register("a", lambda *a, **k: None)
         assert registry.names() == ("b", "a")
 
-    def test_default_engine_is_fast(self, config):
-        assert config.engine == "fast"
+    def test_default_engine_is_compiled(self, config):
+        assert config.engine == "compiled"
 
 
 class TestBackendSelection:

@@ -7,11 +7,15 @@ chaos story (tests/serve/test_chaos.py drives the same path over HTTP).
 """
 
 import asyncio
+import gc
 import os
 import signal
+import weakref
+from collections import OrderedDict
 
 import pytest
 
+import repro.campaign.jobs as jobs_mod
 from repro.isa.serialize import program_to_dict
 from repro.isa.textasm import assemble_text
 from repro.serve.workers import WorkerCrash, WorkerPool, execute_payload
@@ -69,6 +73,46 @@ class TestExecutePayload:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown work kind"):
             execute_payload("transmogrify", {}, str(tmp_path))
+
+
+class TestTraceMemoSoak:
+    """A long-lived worker fed many distinct named workloads keeps its
+    trace memo within budget and frees every evicted trace."""
+
+    SCALES = range(10, 60)          # 50 distinct crc traces
+    BUDGET = 1024                   # dynamic entries: a few traces
+
+    def test_memo_stays_bounded(self, tmp_path, monkeypatch):
+        traces = []
+        real = jobs_mod.generate_trace
+
+        def recording(program, **kwargs):
+            trace = real(program, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(jobs_mod, "_TRACE_MEMO", OrderedDict())
+        monkeypatch.setattr(jobs_mod, "TRACE_MEMO_ENTRIES", self.BUDGET)
+        monkeypatch.setattr(jobs_mod, "generate_trace", recording)
+        memo = jobs_mod._TRACE_MEMO
+        # reference counting alone must free evicted traces: their
+        # lowered columns must not keep them alive in a cycle
+        gc.disable()
+        try:
+            for scale in self.SCALES:
+                result = execute_payload(
+                    "simulate", {"suite": "mibench", "bench": "crc",
+                                 "core": "small", "mode": "redsoc",
+                                 "scale": scale}, str(tmp_path))
+                assert result["cycles"] > 0 and not result["cache_hit"]
+                held = sum(len(t) for t in memo.values())
+                assert held <= self.BUDGET or len(memo) == 1
+            live = [ref() for ref in traces if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(traces) == len(self.SCALES)
+        assert len(memo) < len(self.SCALES)
+        assert {id(t) for t in live} == {id(t) for t in memo.values()}
 
 
 class TestWorkerPool:

@@ -53,3 +53,27 @@ class TestDetection:
         data.mkdir()
         (data / "table.json").write_text("{}")
         assert checker.check(tmp_path) == []
+
+
+#: module -> names that ``perfbench/spanlog.py`` wraps by attribute
+#: lookup; moving one silently drops its layer from the benchmark
+BENCHMARK_HOOKS = {
+    "repro.pipeline.trace": ("generate_trace",),
+    "repro.campaign.jobs": ("generate_trace",),
+    "repro.verify.oracle": ("generate_trace", "generate_trace_compiled"),
+    "repro.core.cpu": ("generate_trace",),
+    "repro.core.compiled": ("lower_trace",),
+    "repro.core.vector": ("lower_trace",),
+    "repro.campaign.cache": ("trace_fingerprint",),
+    "repro.campaign.runner": ("trace_fingerprint", "_execute_jobs"),
+    "repro.predict.service": ("trace_fingerprint",),
+}
+
+
+class TestBenchmarkHooks:
+    def test_hook_points_importable(self):
+        missing = [f"{module}.{name}"
+                   for module, names in BENCHMARK_HOOKS.items()
+                   for name in names
+                   if not hasattr(importlib.import_module(module), name)]
+        assert missing == []
