@@ -5,11 +5,10 @@ Times every selected ``(suite, bench, core, mode)`` job **per engine**
 (schema 2) and two ways per engine:
 
 * **cold** — trace generation plus simulation, the cost of a
-  first-ever run of a job (what a forced campaign pays per miss).  The
-  compiled engine generates its trace through the codegen'd per-block
-  step functions (:mod:`repro.pipeline.codegen`); program lowering
-  itself is compiled once per process and amortised, exactly like the
-  trace memo on the warm path;
+  first-ever run of a job (what a forced campaign pays per miss).
+  Every engine pays for the production generator,
+  :func:`repro.pipeline.trace.generate_trace`, including the codegen
+  of the program's hot blocks;
 * **warm** — simulation alone against a pre-generated trace, the
   steady-state cost once the per-process trace memo is hot.
 
@@ -60,7 +59,6 @@ from repro.campaign.jobs import (enumerate_jobs, job_config,  # noqa: E402
                                  smoke_jobs)
 from repro.core import ENGINES  # noqa: E402
 from repro.core.cpu import simulate  # noqa: E402
-from repro.pipeline.codegen import generate_trace_compiled  # noqa: E402
 from repro.pipeline.trace import generate_trace  # noqa: E402
 from repro.workloads.suites import SUITES, default_scale  # noqa: E402
 
@@ -103,28 +101,14 @@ def _build_program(job):
     return builder(**kwargs)
 
 
-def _generator_for(engine: str):
-    """The trace generator a cold run of *engine* pays for.
-
-    The lowered backends both ride the codegen trace generator — it
-    produces entry-identical traces (fuzzed nightly) several times
-    faster, and its per-program code cache is exactly the state a
-    warm service process holds.
-    """
-    if engine in ("compiled", "vector"):
-        return generate_trace_compiled
-    return generate_trace
-
-
 def _time_job(job, repeats: int, engine: str):
     """Min-of-N cold and warm timings for one job on one engine."""
     program = _build_program(job)
     config = replace(job_config(job), engine=engine)
-    gen = _generator_for(engine)
 
     # warm-up: one untimed full pass (also yields the reusable trace
-    # and, for the compiled engine, the per-program lowering)
-    trace = gen(program)
+    # and its lowering)
+    trace = generate_trace(program)
     result = simulate(trace, config)
     cycles = result.cycles
 
@@ -134,7 +118,7 @@ def _time_job(job, repeats: int, engine: str):
         probe = _calibrate()
 
         start = time.perf_counter()
-        cold_trace = gen(program)
+        cold_trace = generate_trace(program)
         mid = time.perf_counter()
         simulate(cold_trace, config)
         end = time.perf_counter()

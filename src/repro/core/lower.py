@@ -12,11 +12,7 @@ re-derive per uop can be computed **once per trace**:
   trace yields, for every entry, the exact producer seqs its dispatch
   rename would resolve (the RAT never rewinds: dispatch is
   trace-ordered), the youngest older overlapping store
-  (``order_dep``), and the forward dependents list;
-* **basic blocks** — maximal straight-line runs (ended by branches or
-  any non-sequential ``next_pc``), length-capped and deduplicated by
-  their static-pc tuple, so backends can specialize per-block
-  straight-line step functions and reuse them across loop iterations.
+  (``order_dep``), and the forward dependents list.
 
 The lowering is *config-independent* (no mode/threshold/width-predictor
 state leaks in) and memoized on the trace object, so one trace swept
@@ -39,18 +35,13 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import Cond, OpClass, Opcode
 from repro.pipeline.trace import Trace
 from repro.pipeline.uop import OPCLASS_INDEX
-
-#: straight-line specialization cap: longer runs are split so generated
-#: step functions stay small enough for CPython's compiler to digest
-MAX_BLOCK_LEN = 64
-
 
 @dataclass
 class LoweredTrace:
@@ -76,13 +67,6 @@ class LoweredTrace:
     # -- static instruction table --------------------------------------
     instrs: Tuple            # unique static instructions
     static_pcs: array        # pc of each static instruction
-    # -- basic blocks ---------------------------------------------------
-    blocks: Tuple[Tuple[int, ...], ...]   # each: tuple of static_idx
-    block_id: array          # per entry: which block
-    block_offset: array      # per entry: position inside its block
-    #: per-block dynamic start seqs (first execution is enough to
-    #: specialize; later executions reuse the same block function)
-    block_starts: Dict[int, List[int]] = field(default_factory=dict)
 
     def entry_tuple(self, i: int) -> tuple:
         """Round-trip view of entry *i* (tested against the Trace)."""
@@ -183,34 +167,6 @@ def lower_trace(trace: Trace) -> LoweredTrace:
         for reg in dst_regs:
             rat[reg] = i
 
-    # -- basic blocks: maximal straight-line runs ----------------------
-    blocks: List[Tuple[int, ...]] = []
-    block_of: Dict[Tuple[int, ...], int] = {}
-    col_block = array("q", bytes(8 * n))
-    col_offset = array("q", bytes(8 * n))
-    block_starts: Dict[int, List[int]] = {}
-    i = 0
-    while i < n:
-        j = i
-        while True:
-            ends = (entries[j].cls is OpClass.BRANCH
-                    or entries[j].next_pc != entries[j].pc + 1
-                    or j - i + 1 >= MAX_BLOCK_LEN
-                    or j + 1 >= n)
-            if ends:
-                break
-            j += 1
-        key = tuple(col_static[i:j + 1])
-        bid = block_of.get(key)
-        if bid is None:
-            bid = block_of[key] = len(blocks)
-            blocks.append(key)
-        block_starts.setdefault(bid, []).append(i)
-        for k in range(i, j + 1):
-            col_block[k] = bid
-            col_offset[k] = k - i
-        i = j + 1
-
     lowered = LoweredTrace(
         trace=trace, n=n,
         pc=col_pc, next_pc=col_next_pc, op_width=col_width,
@@ -219,9 +175,7 @@ def lower_trace(trace: Trace) -> LoweredTrace:
         is_cond_branch=col_condbr,
         producers=tuple(producers), order_dep=col_order,
         dependents=tuple(tuple(d) for d in dependents),
-        instrs=tuple(instrs), static_pcs=static_pcs,
-        blocks=tuple(blocks), block_id=col_block,
-        block_offset=col_offset, block_starts=block_starts)
+        instrs=tuple(instrs), static_pcs=static_pcs)
     try:
         trace._lowered = lowered
     except AttributeError:
@@ -255,5 +209,4 @@ def lowering_digest() -> str:
     return _digest_memo
 
 
-__all__ = ["LoweredTrace", "MAX_BLOCK_LEN", "lower_trace",
-           "lowering_digest"]
+__all__ = ["LoweredTrace", "lower_trace", "lowering_digest"]

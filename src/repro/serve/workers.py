@@ -48,7 +48,8 @@ class WorkerCrash(Exception):
 #: execution-order phase → span name for worker-side span synthesis
 _PHASE_SPANS = (("cache_probe", "cache.probe"),
                 ("trace_gen", "trace.gen"),
-                ("simulate", "engine.simulate"))
+                ("simulate", "engine.simulate"),
+                ("cache_put", "cache.put"))
 
 
 def _synthesize_trace_spans(trace_ctx: Dict[str, Any],
@@ -236,8 +237,10 @@ def _execute_inline(payload: Dict[str, Any],
         else:
             sim_start = time.perf_counter()
             result = simulate(trace, config)
-            cache.put(key, result_to_payload(result))
             spans["simulate"] = time.perf_counter() - sim_start
+            put_start = time.perf_counter()
+            cache.put(key, result_to_payload(result))
+            spans["cache_put"] = time.perf_counter() - put_start
 
     return {
         "workload": name,

@@ -31,8 +31,11 @@ from repro.core.cpu import simulate
 from repro.core.engine import ENGINES
 from repro.isa.interpreter import run_program
 from repro.isa.program import Program
-from repro.pipeline.codegen import generate_trace_compiled
-from repro.pipeline.trace import Trace, generate_trace
+from repro.pipeline.trace import (
+    Trace,
+    generate_trace,
+    generate_trace_compiled,
+)
 
 from .metamorphic import check_timing_relations
 
@@ -180,8 +183,9 @@ def check_program(program: Program, *,
         flag(Divergence("arch.halt", None,
                         "golden model hit the instruction cap"))
 
-    # 1b. compiled trace generator vs the interpreted one: the codegen
-    # path must reproduce the exact same dynamic trace, entry by entry
+    # 1b. every block compiled vs the tiered generator (mostly
+    # interpreted on these short programs): the codegen path must
+    # reproduce the exact same dynamic trace, entry by entry
     if engines and "compiled" in engines:
         compiled_trace = generate_trace_compiled(program)
         mismatch = _diff_traces(trace, compiled_trace)

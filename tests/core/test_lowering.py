@@ -1,4 +1,4 @@
-"""Lowering pass: column round-trip, dataflow, blocks, property tests."""
+"""Lowering pass: column round-trip, dataflow, property tests."""
 
 from dataclasses import replace
 
@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CORES, RecycleMode, simulate
-from repro.core.lower import (
-    MAX_BLOCK_LEN,
-    lower_trace,
-    lowering_digest,
-)
+from repro.core.lower import lower_trace, lowering_digest
 from repro.isa.opcodes import OpClass
 from repro.pipeline.trace import generate_trace
 from repro.verify.generator import GenConfig, ProgramGenerator, materialize
@@ -88,43 +84,6 @@ class TestStaticDataflow:
             od = lowered.order_dep[child]
             if od >= 0:
                 assert child in lowered.dependents[od]
-
-
-class TestBasicBlocks:
-    def test_blocks_partition_the_trace(self, trace, lowered):
-        for i in range(lowered.n):
-            bid = lowered.block_id[i]
-            off = lowered.block_offset[i]
-            block = lowered.blocks[bid]
-            assert len(block) <= MAX_BLOCK_LEN
-            assert block[off] == lowered.static_idx[i]
-
-    def test_blocks_end_at_branches_and_discontinuities(
-            self, trace, lowered):
-        # inside a block, control flow is straight-line: no branch and
-        # next_pc == pc + 1 everywhere except the last slot
-        for i in range(lowered.n - 1):
-            same_block = (
-                lowered.block_id[i + 1] == lowered.block_id[i]
-                and lowered.block_offset[i + 1]
-                == lowered.block_offset[i] + 1)
-            if same_block:
-                entry = trace.entries[i]
-                assert entry.cls is not OpClass.BRANCH
-                assert entry.next_pc == entry.pc + 1
-
-    def test_loop_iterations_share_one_block(self):
-        # a counted loop re-executes the same straight-line body; the
-        # dedup by static-pc tuple must map every iteration to the same
-        # block id
-        trace = generate_trace(SUITES["ml"]["act"](scale=16))
-        low = lower_trace(trace)
-        assert len(low.blocks) < len(
-            [s for starts in low.block_starts.values() for s in starts])
-        for bid, starts in low.block_starts.items():
-            for start in starts:
-                assert low.block_id[start] == bid
-                assert low.block_offset[start] == 0
 
 
 class TestLoweringDigest:

@@ -10,6 +10,7 @@ import asyncio
 import gc
 import os
 import signal
+import time
 import weakref
 from collections import OrderedDict
 
@@ -18,9 +19,14 @@ import pytest
 import repro.campaign.jobs as jobs_mod
 from repro.isa.serialize import program_to_dict
 from repro.isa.textasm import assemble_text
+from repro.pipeline.trace import TraceEntry
 from repro.serve.workers import WorkerCrash, WorkerPool, execute_payload
 
 SPIN = "mov r1, #5\nloop:\nsubs r1, r1, #1\nbne loop\nhalt"
+
+
+def live_entries():
+    return sum(1 for obj in gc.get_objects() if type(obj) is TraceEntry)
 
 
 def inline_payload(mode="baseline", iters=5):
@@ -54,6 +60,29 @@ class TestExecutePayload:
         assert warm["cache_hit"] is True
         assert warm["cycles"] == cold["cycles"]
         assert warm["workload"] == "spin"
+
+    def test_inline_cache_put_is_its_own_phase(self, tmp_path,
+                                               monkeypatch):
+        # the result write (with its fsync) must not count as replay
+        import repro.campaign.cache as cache_mod
+
+        real_put = cache_mod.ResultCache.put
+
+        def slow_put(self, key, payload):
+            time.sleep(0.05)
+            return real_put(self, key, payload)
+
+        monkeypatch.setattr(cache_mod.ResultCache, "put", slow_put)
+        payload = inline_payload()
+        payload["_trace"] = {"trace_id": "ab" * 16, "parent": "cd" * 8}
+        cold = execute_payload("simulate", payload, str(tmp_path))
+        assert list(cold["spans"]) == ["cache_probe", "trace_gen",
+                                       "simulate", "cache_put"]
+        assert cold["spans"]["cache_put"] >= 0.05
+        assert cold["spans"]["simulate"] < 0.05
+        names = [s["name"] for s in cold["trace_spans"]]
+        assert names == ["cache.probe", "trace.gen", "engine.simulate",
+                         "cache.put"]
 
     def test_inline_modes_cached_separately(self, tmp_path):
         base = execute_payload("simulate", inline_payload("baseline"),
@@ -95,10 +124,13 @@ class TestTraceMemoSoak:
         monkeypatch.setattr(jobs_mod, "TRACE_MEMO_ENTRIES", self.BUDGET)
         monkeypatch.setattr(jobs_mod, "generate_trace", recording)
         memo = jobs_mod._TRACE_MEMO
-        # reference counting alone must free evicted traces: their
-        # lowered columns must not keep them alive in a cycle
+        # reference counting alone must free evicted traces: neither
+        # their lowered columns nor the generator's compiled blocks may
+        # keep the trace or its entry list alive in a cycle
+        gc.collect()
         gc.disable()
         try:
+            before = live_entries()
             for scale in self.SCALES:
                 result = execute_payload(
                     "simulate", {"suite": "mibench", "bench": "crc",
@@ -108,11 +140,13 @@ class TestTraceMemoSoak:
                 held = sum(len(t) for t in memo.values())
                 assert held <= self.BUDGET or len(memo) == 1
             live = [ref() for ref in traces if ref() is not None]
+            entries = live_entries() - before
         finally:
             gc.enable()
         assert len(traces) == len(self.SCALES)
         assert len(memo) < len(self.SCALES)
         assert {id(t) for t in live} == {id(t) for t in memo.values()}
+        assert entries == sum(len(t) for t in memo.values())
 
 
 class TestWorkerPool:
