@@ -39,7 +39,7 @@ Gate failures name the offending engine and bench row.
 
 ::
 
-    python benchmarks/bench_core.py --smoke --check --engines fast
+    python benchmarks/bench_core.py --smoke --check --engines compiled
     python benchmarks/bench_core.py --smoke --update-reference
 """
 
@@ -57,7 +57,7 @@ if __package__ in (None, ""):
 
 from repro.campaign.jobs import (enumerate_jobs, job_config,  # noqa: E402
                                  smoke_jobs)
-from repro.core import ENGINES  # noqa: E402
+from repro.core.engine import ENGINES, engine_arg  # noqa: E402
 from repro.core.cpu import simulate  # noqa: E402
 from repro.pipeline.trace import generate_trace  # noqa: E402
 from repro.workloads.suites import SUITES, default_scale  # noqa: E402
@@ -297,9 +297,9 @@ def main(argv=None):
     parser.add_argument("--cores", nargs="*", default=None)
     parser.add_argument("--modes", nargs="*", default=None)
     parser.add_argument("--engines", nargs="+", metavar="ENGINE",
-                        choices=list(ENGINES.names()), default=None,
-                        help="simulation backends to measure "
-                             "(default: all registered engines)")
+                        type=engine_arg, default=None,
+                        help=f"simulation backends to measure "
+                             f"{list(ENGINES.names())} (default: all)")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="timing repeats per job; each metric is "
                              "the minimum (default: 3)")
@@ -330,7 +330,7 @@ def main(argv=None):
     else:
         jobs = enumerate_jobs(suites=args.suites, cores=args.cores,
                               modes=args.modes)
-    engines = args.engines or list(ENGINES.names())
+    engines = list(dict.fromkeys(args.engines or ENGINES.names()))
 
     payload = run_bench(jobs, args.repeats, engines, quiet=args.quiet)
 

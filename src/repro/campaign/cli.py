@@ -39,8 +39,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import ENGINES
 from repro.core.cpu import CoreSimulator, simulate
+from repro.core.engine import ENGINES, engine_arg
 from repro.obs import Recorder, write_chrome_trace, write_events_jsonl, \
     write_metrics_jsonl
 
@@ -106,11 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=int, default=None,
                      help="uniform scale override (default: per-suite "
                           "evaluation scales)")
-    run.add_argument("--engine", choices=list(ENGINES.names()),
-                     default=None,
-                     help="pin every job to one simulation backend "
-                          "(default: the config default; all engines "
-                          "are cycle-identical)")
+    run.add_argument("--engine", type=engine_arg, default=None,
+                     help=f"pin every job to one simulation backend "
+                          f"{list(ENGINES.names())} (default: the "
+                          f"config default; all engines are "
+                          f"cycle-identical)")
     run.add_argument("--smoke", action="store_true",
                      help="one small benchmark per suite on the small "
                           "core (the CI smoke set)")

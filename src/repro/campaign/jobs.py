@@ -80,7 +80,7 @@ def enumerate_jobs(suites: Optional[Sequence[str]] = None,
     cores = _validate("core(s)", cores or CORE_ORDER, tuple(CORES))
     modes = _validate("mode(s)", modes or MODE_ORDER, MODE_ORDER)
     if engine is not None:
-        _validate("engine(s)", [engine], ENGINES.names())
+        engine = ENGINES.resolve(engine)
 
     if benchmarks is not None:
         all_benches = {b for s in suites for b in SUITES[s]}
@@ -111,10 +111,10 @@ def smoke_jobs(modes: Optional[Sequence[str]] = None,
 
 
 #: dynamic-entry budget of the per-process trace memo.  Traces carry
-#: their lowered columns (and the vector engine's decode columns), so a
-#: long-lived worker that sees many distinct workloads would otherwise
-#: pin all of them; campaign jobs arrive grouped by trace, so keeping
-#: the latest few is enough for every (core, mode) job to reuse one
+#: their lowered columns, so a long-lived worker that sees many
+#: distinct workloads would otherwise pin all of them; campaign jobs
+#: arrive grouped by trace, so keeping the latest few is enough for
+#: every (core, mode) job to reuse one
 TRACE_MEMO_ENTRIES = 16_384
 
 #: per-process LRU of generated traces, least recently used first; it
@@ -140,17 +140,18 @@ def job_trace(job: CampaignJob) -> Trace:
     while held > TRACE_MEMO_ENTRIES and len(_TRACE_MEMO) > 1:
         _, evicted = _TRACE_MEMO.popitem(last=False)
         held -= len(evicted)
-        # the lowered columns (which carry the vector engine's decode
-        # columns) point back at their trace: unlinking them lets
-        # reference counting free both now, not at a later GC pass
+        # the lowered columns point back at their trace: unlinking
+        # them lets reference counting free both now, not at a later
+        # GC pass
         evicted.__dict__.pop("_lowered", None)
     return trace
 
 
 def job_config(job: CampaignJob) -> CoreConfig:
     """Table-I preset for *job*'s core, switched to *job*'s mode (and
-    pinned to *job*'s engine when one was requested)."""
+    pinned to *job*'s engine, by canonical name, when one was
+    requested)."""
     config = CORES[job.core].with_mode(RecycleMode(job.mode))
     if job.engine is not None:
-        config = replace(config, engine=job.engine)
+        config = replace(config, engine=ENGINES.resolve(job.engine))
     return config

@@ -208,26 +208,14 @@ def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
     fingerprint in the index, probe again, and simulate only on a true
     miss.
 
-    Cache misses whose engine registers a **batch** entry point
-    (``ENGINES.batch``) are replayed together through one
-    ``simulate_batch`` call — lanes share the columnar decode pass and
-    per-job setup — instead of one ``simulate`` call each; per-lane
-    replay times keep each record's ``simulate`` span meaningful (the
-    shared batch overhead is split evenly across the lanes).
-
     Each stage is timed into the record's ``spans`` dict; with
-    *profile_dir* set, a cache miss runs unbatched under
-    :mod:`cProfile` and dumps ``<label>.pstats`` there.
+    *profile_dir* set, a cache miss runs under :mod:`cProfile` and
+    dumps ``<label>.pstats`` there.
     """
-    from repro.core.engine import ENGINES
-
     cache = ResultCache(Path(cache_dir))
-    records: List[Optional[JobRecord]] = [None] * len(jobs)
-    #: cache misses awaiting simulation: (index, job, config, trace,
-    #: result key, spans, per-job start time)
-    pending: List[tuple] = []
+    records: List[JobRecord] = []
 
-    for idx, job in enumerate(jobs):
+    for job in jobs:
         start = time.perf_counter()
         spans: Dict[str, float] = {}
         config = job_config(job)
@@ -259,46 +247,13 @@ def _execute_jobs(jobs: Sequence[CampaignJob], cache_dir: str,
                 result = payload_to_result(payload, config)
                 cache_hit = True
             else:
-                pending.append((idx, job, config, trace, key, spans,
-                                start))
-                continue
-        records[idx] = _record_for(job, key, result, cache_hit, spans,
-                                   start)
-
-    # group the misses by engine; batch-capable engines replay their
-    # whole group in one columnar pass
-    by_engine: Dict[Optional[str], List[tuple]] = {}
-    for item in pending:
-        by_engine.setdefault(item[2].engine, []).append(item)
-    for engine, items in by_engine.items():
-        batch_fn = None
-        if profile_dir is None and len(items) > 1 \
-                and engine in ENGINES:
-            batch_fn = ENGINES.batch(engine)
-        if batch_fn is not None:
-            lane_times: List[float] = []
-            batch_start = time.perf_counter()
-            results = batch_fn(
-                [(trace, config) for _, _, config, trace, _, _, _
-                 in items],
-                lane_times=lane_times)
-            batch_wall = time.perf_counter() - batch_start
-            shared = max(0.0, batch_wall - sum(lane_times)) / len(items)
-            for (idx, job, config, trace, key, spans, start), result, \
-                    lane_s in zip(items, results, lane_times):
-                spans["simulate"] = lane_s + shared
-                cache.put(key, result_to_payload(result))
-                records[idx] = _record_for(job, key, result, False,
-                                           spans, start)
-        else:
-            for idx, job, config, trace, key, spans, start in items:
                 sim_start = time.perf_counter()
                 result = _simulate_one(job, trace, config, profile_dir)
                 spans["simulate"] = time.perf_counter() - sim_start
                 cache.put(key, result_to_payload(result))
-                records[idx] = _record_for(job, key, result, False,
-                                           spans, start)
-    return records  # type: ignore[return-value]
+        records.append(_record_for(job, key, result, cache_hit, spans,
+                                   start))
+    return records
 
 
 def _attach_speedups(records: Sequence[JobRecord]) -> None:
@@ -347,31 +302,11 @@ def run_campaign(jobs: Sequence[CampaignJob], *,
         if progress is not None:
             progress(record)
 
-    def _batchable() -> bool:
-        """Any job pinned to an engine with a batch entry point?"""
-        from repro.core.engine import ENGINES
-        engines = {job_config(job).engine for job in jobs}
-        return any(name in ENGINES and ENGINES.batch(name) is not None
-                   for name in engines)
-
     if workers <= 1 or len(jobs) <= 1:
         workers = 1
         for record in _execute_jobs(list(jobs), str(cache_root), force,
                                     profile_arg):
             finish(record)
-    elif profile_arg is None and _batchable():
-        # batch-capable engines want whole chunks per worker so lanes
-        # share one columnar pass; contiguous slices keep report order
-        size = -(-len(jobs) // workers)
-        chunks = [list(jobs[i:i + size])
-                  for i in range(0, len(jobs), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_jobs, chunk,
-                                   str(cache_root), force, profile_arg)
-                       for chunk in chunks]
-            for future in futures:
-                for record in future.result():
-                    finish(record)
     else:
         # per-job futures balance the load; the trace memo still lets
         # each worker generate a trace once, since jobs arrive grouped

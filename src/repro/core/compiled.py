@@ -859,7 +859,11 @@ class CompiledSimulator:
                 threshold = probe_plan.pop(0)
 
         # ---------------------------------------------------------------
-        # main event-driven loop (mirrors CoreSimulator._run_fast)
+        # main event-driven loop: the stages of CoreSimulator._step on
+        # every cycle where state can change; provably idle stretches
+        # are skipped and their cycle/stall statistics added in bulk,
+        # with jumps clamped to the adaptive-threshold and FU-cleanup
+        # boundaries so every side effect of the per-cycle loop recurs
         # ---------------------------------------------------------------
 
         limit = 200 * n + 100_000

@@ -70,16 +70,15 @@ class CoreConfig:
 
     mode: RecycleMode = RecycleMode.REDSOC
     scheduler: SchedulerDesign = SchedulerDesign.OPERATIONAL
-    #: simulation backend (timing-irrelevant: every registered engine is
-    #: cycle-identical, enforced by the CI backend-equivalence matrix).
-    #: ``reference`` forces the per-cycle step loop, ``fast`` is the
-    #: event-driven skip-ahead loop, ``compiled`` (the default) lowers
-    #: the trace into flat columns and runs specialized straight-line
-    #: code, falling back to the event-driven loop for observed runs;
-    #: ``vector`` replays the lowered columns with memoized NumPy
-    #: decode passes and supports batched multi-trace runs (requires
-    #: numpy>=1.24).  The engine is part of every result-cache key, so
-    #: results cached under another default miss once
+    #: simulation backend (timing-irrelevant: both registered engines
+    #: are cycle-identical, enforced by the CI backend-equivalence
+    #: matrix).  ``reference`` is the per-cycle step loop; ``compiled``
+    #: (the default) lowers the trace into flat columns and runs
+    #: specialized straight-line code, falling back to the step loop
+    #: for observed runs.  The retired names ``fast`` and ``vector``
+    #: resolve to ``compiled`` (repro.core.engine.ALIASES).  The engine
+    #: is part of every result-cache key, so results cached under
+    #: another default miss once
     engine: str = "compiled"
     skewed_select: bool = True
     #: run the Eager-Grandparent (GP) select phase at all; False keeps

@@ -1,46 +1,45 @@
 """Pluggable simulation-backend registry.
 
-The cycle model has one semantics and several implementations:
+The cycle model has one semantics and two implementations:
 
 * ``reference`` — the per-cycle :meth:`CoreSimulator._step` loop, one
   cycle at a time, observability-friendly.  Slowest, simplest, the
-  differential oracle every other backend is checked against.
-* ``fast`` — the event-driven skip-ahead loop; bit-identical to
-  ``reference`` by construction and by CI.
+  differential oracle the other backend is checked against.
 * ``compiled`` — the ``CoreConfig.engine`` default: lowers the dynamic
   trace into flat parallel columns (:mod:`repro.core.lower`) and runs
   a config-specialized engine (:mod:`repro.core.compiled`).  Falls
-  back to the event-driven loop whenever an observer is attached (the
+  back to the step loop whenever an observer is attached (the
   compiled loop has no probe points).
-* ``vector`` — NumPy columnar replay (:mod:`repro.core.vector`):
-  decode, width-class and branch-resolution columns precomputed as
-  whole-array gathers and memoized per trace, plus batch lanes
-  (``simulate_batch``) that decode K independent jobs in one
-  concatenated pass.  Same observer fallback as ``compiled``.
 
 Backends register a factory ``(trace, config, obs=None) -> runner``
 where ``runner.run()`` returns a :class:`~repro.core.cpu.SimResult`.
-A backend may additionally register a *batch* entry point
-``batch(items) -> [SimResult]`` taking ``(trace, config)`` pairs;
-callers with many independent jobs probe :meth:`EngineRegistry.batch`
-to amortize per-job setup (campaign runner, fuzz oracle, serve sweeps).
-Every engine must be *cycle-identical*: the backend-equivalence CI
+Both engines must be *cycle-identical*: the backend-equivalence CI
 matrix runs ``check_regression.py --exact-cycles`` once per engine and
-fails on any diff, and :mod:`repro.verify` fuzzes engines against each
-other nightly.  An engine is a performance choice, never a semantics
-choice — which is why ``CoreConfig.engine`` is a plain string any
-config path (campaign, serve, verify CLI) can thread through.
+fails on any diff, and :mod:`repro.verify` fuzzes the engines against
+each other nightly.  An engine is a performance choice, never a
+semantics choice — which is why ``CoreConfig.engine`` is a plain
+string any config path (campaign, serve, verify CLI) can thread
+through.
+
+Retired engine names stay accepted: :data:`ALIASES` maps each to the
+engine that now serves it, and :meth:`EngineRegistry.resolve` is the
+one place a name is validated and canonicalized, so stored configs and
+old serve clients keep working and share cache entries with the
+canonical name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+import argparse
+from typing import Any, Callable, Dict, Tuple
 
 #: factory signature: (trace, config, obs) -> object with .run()
 EngineFactory = Callable[..., Any]
 
-#: batch signature: (items: [(trace, config)]) -> [SimResult]
-BatchFactory = Callable[..., Any]
+#: retired engine name -> the registered engine that now serves it
+#: (``fast`` was an event-driven skip-ahead variant of the step loop,
+#: ``vector`` a NumPy port of ``compiled``; both were cycle-identical)
+ALIASES: Dict[str, str] = {"fast": "compiled", "vector": "compiled"}
 
 
 class EngineRegistry:
@@ -48,55 +47,62 @@ class EngineRegistry:
 
     def __init__(self) -> None:
         self._factories: Dict[str, EngineFactory] = {}
-        self._batch: Dict[str, BatchFactory] = {}
 
-    def register(self, name: str, factory: EngineFactory, *,
-                 batch: Optional[BatchFactory] = None) -> None:
+    def register(self, name: str, factory: EngineFactory) -> None:
         if not name or not isinstance(name, str):
             raise ValueError(f"engine name must be a non-empty string, "
                              f"got {name!r}")
         self._factories[name] = factory
-        if batch is not None:
-            self._batch[name] = batch
-        else:
-            self._batch.pop(name, None)
 
     def names(self) -> Tuple[str, ...]:
-        """Registered backend names, registration order."""
+        """Registered backend names, registration order (no aliases)."""
         return tuple(self._factories)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._factories
+        try:
+            self.resolve(name)
+        except ValueError:
+            return False
+        return True
 
-    def _unknown(self, name: str) -> ValueError:
-        return ValueError(
-            f"unknown engine {name!r}; choose from "
-            f"{sorted(self._factories)}")
+    def resolve(self, name: str) -> str:
+        """Canonical engine name for *name* (an engine or an alias).
+
+        Unknown names raise :class:`ValueError` listing the registered
+        engines.
+        """
+        canonical = ALIASES.get(name, name) if isinstance(name, str) \
+            else None
+        if canonical not in self._factories:
+            raise ValueError(
+                f"unknown engine {name!r}; choose from "
+                f"{sorted(self._factories)}")
+        return canonical
 
     def create(self, name: str, trace, config, *, obs=None):
         """Instantiate the named backend for one simulation run."""
-        factory = self._factories.get(name)
-        if factory is None:
-            raise self._unknown(name)
-        return factory(trace, config, obs=obs)
+        return self._factories[self.resolve(name)](trace, config, obs=obs)
 
-    def batch(self, name: str) -> Optional[BatchFactory]:
-        """The named backend's batch entry point, or ``None``.
+    def batch(self, name: str) -> None:
+        """Always ``None``: no backend replays batched lanes.
 
-        Returns a callable ``batch(items) -> [SimResult]`` over
-        ``(trace, config)`` pairs when the backend supports batched
-        replay; ``None`` means callers should loop single runs.
-        Batch callables accept an optional ``lane_times`` keyword (a
-        list receiving one per-lane replay wall-time per item) so
-        callers can keep per-job telemetry meaningful.  Unknown names
-        raise, same as :meth:`create`.
+        Kept, name-validating, for benchmark tooling that wraps it.
         """
-        if name not in self._factories:
-            raise self._unknown(name)
-        return self._batch.get(name)
+        self.resolve(name)
+        return None
 
 
 #: process-global registry; :mod:`repro.core.cpu` populates it on import
 ENGINES = EngineRegistry()
 
-__all__ = ["ENGINES", "BatchFactory", "EngineFactory", "EngineRegistry"]
+
+def engine_arg(name: str) -> str:
+    """``argparse`` type for ``--engine`` options: the canonical name."""
+    try:
+        return ENGINES.resolve(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+__all__ = ["ALIASES", "ENGINES", "EngineFactory", "EngineRegistry",
+           "engine_arg"]

@@ -184,7 +184,7 @@ def lower_trace(trace: Trace) -> LoweredTrace:
 
 
 #: modules whose source participates in compiled-result cache keys
-_LOWERING_SOURCES = ("lower.py", "compiled.py", "vector.py",
+_LOWERING_SOURCES = ("lower.py", "compiled.py",
                      "../pipeline/codegen.py")
 _digest_memo: Optional[str] = None
 

@@ -71,11 +71,10 @@ class ReadyQueues:
     drains that cycle's wakeups into per-FU-class pending queues, kept
     in age (sequence-number) order for oldest-first selection.
 
-    The structure is indexed for the event-driven hot loop:
+    The structure is indexed for the per-cycle hot loop:
 
     * wake buckets live in a ``cycle -> [uops]`` map with a min-heap of
-      bucket cycles, so :meth:`next_wake_cycle` (the skip-ahead target)
-      is an O(1) peek and :meth:`advance_to` touches only due buckets;
+      bucket cycles, so :meth:`advance_to` touches only due buckets;
     * per-class pending queues are seq-sorted lists addressed by the
       uop's :data:`~repro.pipeline.uop.OPCLASS_INDEX` (no enum hashing),
       and :meth:`remove` is an O(1) tombstone (``uop.in_ready`` flips
@@ -108,10 +107,6 @@ class ReadyQueues:
             heappush(self._wake_heap, cycle)
         else:
             bucket.append(uop)
-
-    def next_wake_cycle(self) -> Optional[int]:
-        """Earliest cycle with a scheduled wakeup (None when idle)."""
-        return self._wake_heap[0] if self._wake_heap else None
 
     def advance_to(self, cycle: int) -> None:
         """Drain wakeups due at or before *cycle* into the queues."""

@@ -181,18 +181,26 @@ def _parse_mode(body: Dict[str, Any], key: str = "mode") -> str:
         "mode", _require(body, key, str, "bad-mode"), _MODES)
 
 
+def _check_engine(value: Any) -> str:
+    """Canonical name of a requested engine (aliases resolved)."""
+    try:
+        return ENGINES.resolve(value)
+    except ValueError as exc:
+        raise _bad("unknown-engine", str(exc)) from None
+
+
 def _parse_engine(body: Dict[str, Any]) -> Optional[str]:
     """Optional backend pin; ``None`` keeps the config default.
 
-    A pinned engine joins the worker payload, so it participates in the
-    spec fingerprint — an engine-pinned request never shares a
-    single-flight slot or LRU entry with the default-engine form.
+    A pinned engine joins the worker payload by its canonical name, so
+    it participates in the spec fingerprint — an engine-pinned request
+    never shares a single-flight slot or LRU entry with the
+    default-engine form, while a retired alias shares both with the
+    engine it resolves to.
     """
     if "engine" not in body:
         return None
-    return _check_choice(
-        "engine", _require(body, "engine", str, "bad-engine"),
-        tuple(ENGINES.names()))
+    return _check_engine(_require(body, "engine", str, "bad-engine"))
 
 
 @dataclass(frozen=True)
@@ -381,9 +389,7 @@ def parse_verify(body: Dict[str, Any]) -> VerifySpec:
     if not isinstance(engines, list):
         raise _bad("bad-engines", "engines must be a list of backend "
                                   "names")
-    engines = tuple(dict.fromkeys(
-        _check_choice("engine", e, tuple(ENGINES.names()))
-        for e in engines))
+    engines = tuple(dict.fromkeys(_check_engine(e) for e in engines))
     return VerifySpec(
         priority=_parse_priority(body),
         deadline_ms=_parse_deadline(body),

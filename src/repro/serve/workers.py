@@ -113,8 +113,6 @@ def execute_payload(kind: str, payload: Dict[str, Any],
     trace_ctx = payload.pop("_trace", None)
     if kind == "simulate":
         result = _execute_simulate(payload, cache_dir)
-    elif kind == "simulate_batch":
-        result = _execute_simulate_batch(payload, cache_dir)
     elif kind == "estimate":
         result = _execute_estimate(payload, cache_dir)
     elif kind == "verify":
@@ -148,31 +146,6 @@ def _execute_simulate(payload: Dict[str, Any],
     return _execute_inline(payload, cache_dir)
 
 
-def _execute_simulate_batch(payload: Dict[str, Any],
-                            cache_dir: str) -> Dict[str, Any]:
-    """One worker call replaying a whole sweep grid as batch lanes.
-
-    Every job probes the shared cache exactly like the single-job
-    path; the cache misses then go through the engine's registered
-    ``simulate_batch`` (one columnar decode pass for all lanes) via
-    :func:`repro.campaign.runner._execute_jobs`.
-    """
-    from repro.campaign.jobs import CampaignJob
-    from repro.campaign.runner import _execute_jobs
-
-    jobs = [CampaignJob(suite=p["suite"], bench=p["bench"],
-                        core=p["core"], mode=p["mode"],
-                        scale=p.get("scale"), engine=p.get("engine"))
-            for p in payload["jobs"]]
-    records = _execute_jobs(jobs, cache_dir, False)
-    results = []
-    for p, record in zip(payload["jobs"], records):
-        result = asdict(record)
-        result["workload"] = f"{p['suite']}/{p['bench']}"
-        results.append(result)
-    return {"jobs": results, "worker": f"pid-{os.getpid()}"}
-
-
 def _execute_inline(payload: Dict[str, Any],
                     cache_dir: str) -> Dict[str, Any]:
     import hashlib
@@ -187,7 +160,7 @@ def _execute_inline(payload: Dict[str, Any],
         trace_fingerprint,
         trace_index_key,
     )
-    from repro.core import CORES, RecycleMode
+    from repro.core import CORES, ENGINES, RecycleMode
     from repro.core.cpu import simulate
     from repro.isa.serialize import program_from_dict
     from repro.pipeline.trace import generate_trace
@@ -196,7 +169,8 @@ def _execute_inline(payload: Dict[str, Any],
     config = CORES[payload["core"]].with_mode(
         RecycleMode(payload["mode"]))
     if payload.get("engine"):
-        config = replace(config, engine=payload["engine"])
+        config = replace(config,
+                         engine=ENGINES.resolve(payload["engine"]))
     cache = ResultCache(Path(cache_dir))
 
     # the program→trace mapping is deterministic, so inline programs

@@ -36,9 +36,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.campaign import ResultCache, cached_simulate
-from repro.core import ENGINES
 from repro.core.config import CORES
 from repro.core.cpu import simulate
+from repro.core.engine import ENGINES, engine_arg
 
 from .artifacts import DEFAULT_ROOT, ArtifactStore, load_spec_file
 from .defects import DEFAULT_DEFECT, DEFECTS
@@ -76,10 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="route metamorphic variant simulations "
                             "through a campaign result cache")
         p.add_argument("--engines", nargs="+", metavar="ENGINE",
-                       choices=list(ENGINES.names()), default=None,
-                       help="cross-check these simulation backends "
-                            "against the audited run on every program "
-                            "and mode (full-SimStats bit-identity)")
+                       type=engine_arg, default=None,
+                       help=f"cross-check these simulation backends "
+                            f"{list(ENGINES.names())} against the "
+                            f"audited run on every program and mode "
+                            f"(full-SimStats bit-identity)")
 
     fuzz = sub.add_parser("fuzz", help="run a deterministic fuzz session")
     common(fuzz)

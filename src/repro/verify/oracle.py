@@ -156,6 +156,9 @@ def check_program(program: Program, *,
     semantics choices).  Any drift flags an ``engine.stats`` divergence.
     """
     modes = list(modes) if modes is not None else list(RecycleMode)
+    # canonical names, each once: an alias re-runs no engine
+    engines = tuple(dict.fromkeys(ENGINES.resolve(e)
+                                  for e in engines or ()))
     verdict = ProgramVerdict(name=program.name)
     flag = verdict.divergences.append
 
@@ -186,7 +189,7 @@ def check_program(program: Program, *,
     # 1b. every block compiled vs the tiered generator (mostly
     # interpreted on these short programs): the codegen path must
     # reproduce the exact same dynamic trace, entry by entry
-    if engines and "compiled" in engines:
+    if "compiled" in engines:
         compiled_trace = generate_trace_compiled(program)
         mismatch = _diff_traces(trace, compiled_trace)
         if mismatch:
@@ -208,21 +211,11 @@ def check_program(program: Program, *,
                             f"uop#{violation.seq}: {violation.detail}"))
 
     # 2b. backend equivalence: each requested engine must reproduce the
-    # audited run's SimStats exactly, mode by mode.  An engine with a
-    # registered batch entry point replays all its mode legs in one
-    # batched columnar pass — itself part of the contract under test.
-    for engine in engines or ():
-        configs = [replace(config.with_mode(mode), engine=engine)
-                   for mode in modes]
-        batch_fn = None
-        if simulate_fn is simulate and len(modes) > 1 \
-                and engine in ENGINES:
-            batch_fn = ENGINES.batch(engine)
-        if batch_fn is not None:
-            runs = batch_fn([(trace, cfg) for cfg in configs])
-        else:
-            runs = [simulate_fn(trace, cfg) for cfg in configs]
-        for mode, run in zip(modes, runs):
+    # audited run's SimStats exactly, mode by mode
+    for engine in engines:
+        for mode in modes:
+            run = simulate_fn(trace, replace(config.with_mode(mode),
+                                             engine=engine))
             verdict.cycles[f"{mode.value}:{engine}"] = run.stats.cycles
             if run.stats != audits[mode].result.stats:
                 flag(Divergence(

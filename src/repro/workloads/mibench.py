@@ -172,7 +172,8 @@ def gsm(scale: int = 40) -> Program:
     a.data_words(0x1000, samples)
     a.data_words(0x800, coeffs)
     a.mov(r(1), 0x1000)
-    a.mov(r(2), scale * 8 - 8)
+    # one sample at least: a zero count would wrap at the loop bottom
+    a.mov(r(2), max(scale * 8 - 8, 1))
     a.mov(r(3), 0)                         # accumulator
     a.label("sample")
     a.mov(r(4), 0x800)

@@ -201,12 +201,10 @@ class TestEngineInvalidation:
     """Switching ``engine=`` can never serve a stale cached result."""
 
     def test_engine_changes_key(self, tiny_trace, config):
-        fast = replace(config, engine="fast")
         compiled = replace(config, engine="compiled")
         reference = replace(config, engine="reference")
-        keys = {result_key(tiny_trace, c)
-                for c in (fast, compiled, reference)}
-        assert len(keys) == 3
+        keys = {result_key(tiny_trace, c) for c in (compiled, reference)}
+        assert len(keys) == 2
 
     def test_lowering_digest_changes_key(self, tiny_trace, config,
                                          monkeypatch):
@@ -219,8 +217,9 @@ class TestEngineInvalidation:
 
     def test_no_cross_engine_serving(self, tiny_trace, config, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        fast = cached_simulate(tiny_trace,
-                               replace(config, engine="fast"), cache)
+        reference = cached_simulate(tiny_trace,
+                                    replace(config, engine="reference"),
+                                    cache)
         compiled = cached_simulate(tiny_trace,
                                    replace(config, engine="compiled"),
                                    cache)
@@ -228,7 +227,7 @@ class TestEngineInvalidation:
         assert (cache.hits, cache.misses) == (0, 2)
         assert len(cache) == 2
         # ... and (being bit-identical backends) agree on the physics
-        assert asdict(compiled.stats) == asdict(fast.stats)
+        assert asdict(compiled.stats) == asdict(reference.stats)
 
 
 class TestTraceFingerprintDigest:

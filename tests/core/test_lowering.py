@@ -107,6 +107,5 @@ class TestLoweredExecutionProperty:
         trace = generate_trace(materialize(spec))
         config = CORES["small"].with_mode(mode)
         ref = simulate(trace, replace(config, engine="reference"))
-        for engine in ("fast", "compiled", "vector"):
-            run = simulate(trace, replace(config, engine=engine))
-            assert run.stats == ref.stats, engine
+        run = simulate(trace, replace(config, engine="compiled"))
+        assert run.stats == ref.stats

@@ -48,11 +48,11 @@ class TestTickBase:
 
 
 class TestTickEdgeCases:
-    """Boundary behaviour the event-driven fast loop leans on."""
+    """Boundary behaviour the event-driven compiled loop leans on."""
 
     def test_next_edge_at_exact_edges_is_identity(self):
         # a value already on a clock edge must not round up a cycle:
-        # the fast loop's skip target would otherwise drift past
+        # the compiled loop's skip target would otherwise drift past
         # wakeups scheduled exactly on the edge
         base = DEFAULT_TICK_BASE
         for cycle in (0, 1, 2, 7, 100):

@@ -12,7 +12,7 @@ The acceptance bar for the whole tracing layer lives here:
 
 import json
 
-from repro.core import CORES, CoreSimulator
+from repro.core import CORES, CoreSimulator, simulate
 from repro.core.audit import _RecordingSimulator
 from repro.obs import (
     EventKind,
@@ -131,12 +131,13 @@ class TestMetricsExport:
 
 class TestTraceOffIsBitIdentical:
     def test_cycles_and_stats_identical_without_tracing(self):
-        """The instrumentation guard: obs=None runs must match an
-        uninstrumented simulator bit for bit (CI additionally pins the
-        smoke campaign's cycle counts to the committed reference)."""
+        """The instrumentation guard: a traced run of the step loop
+        must match the default (compiled, uninstrumented) engine bit
+        for bit (CI additionally pins the smoke campaign's cycle counts
+        to the committed reference)."""
         for bench in ("logic", "wide-arith", "simd-i8"):
             trace = generate_trace(MICROBENCHES[bench].build(30))
-            plain = CoreSimulator(trace, CORES["medium"]).run()
+            plain = simulate(trace, CORES["medium"])
             traced = CoreSimulator(trace, CORES["medium"],
                                    obs=Recorder()).run()
             assert plain.stats.cycles == traced.stats.cycles

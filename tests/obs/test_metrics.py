@@ -1,7 +1,7 @@
 """Metrics registry tests + the SimStats-through-registry refactor."""
 
 from repro.analysis.stats import COUNTER_FIELDS, GAUGE_FIELDS, SimStats
-from repro.core import CORES, CoreSimulator
+from repro.core import CORES, CoreSimulator, simulate
 from repro.obs import MetricsRegistry, Recorder
 from repro.pipeline.trace import generate_trace
 from repro.workloads.microbench import MICROBENCHES
@@ -122,5 +122,8 @@ class TestSimStatsThroughRegistry:
     def test_untraced_run_records_no_histograms(self):
         trace = generate_trace(MICROBENCHES["logic"].build(40))
         sim = CoreSimulator(trace, CORES["big"])
-        sim.run()
+        result = sim.run()
         assert not sim.metrics.histograms
+        # the untraced step loop is the reference engine: it must agree
+        # with the default (compiled) engine, a distinct loop
+        assert result.stats == simulate(trace, CORES["big"]).stats

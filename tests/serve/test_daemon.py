@@ -85,10 +85,9 @@ class TestSweep:
             [("small", "baseline"), ("small", "redsoc")]
         assert "speedup" in jobs[1]
 
-    def test_vector_sweep_rides_batch_lanes(self, client):
-        # a vector-pinned sweep goes to ONE worker as batched lanes;
-        # the reply shape and cycle counts must match the fanned-out
-        # path exactly (engines and batching are performance choices)
+    def test_vector_sweep_matches_compiled(self, client):
+        # an old client pinning the retired "vector" engine is served by
+        # "compiled": same reply shape, same cycles as the default path
         reply = client.sweep(suite="ml", bench="pool0", scale=3,
                              cores=["small"],
                              modes=["baseline", "redsoc"],
@@ -97,6 +96,7 @@ class TestSweep:
         assert [(j["core"], j["mode"]) for j in jobs] == \
             [("small", "baseline"), ("small", "redsoc")]
         assert "speedup" in jobs[1]
+        assert {j["engine"] for j in jobs} == {"compiled"}
         plain = client.sweep(suite="ml", bench="pool0", scale=3,
                              cores=["small"],
                              modes=["baseline", "redsoc"])

@@ -48,7 +48,7 @@ class TestEstimateProtocol:
         # name must still fail loudly rather than be silently ignored
         exc = err("estimate", dict(self.NAMED, engine="frobnicate"))
         assert (exc.status, exc.code) == (400, "unknown-engine")
-        for name in ("reference", "fast", "compiled", "vector"):
+        for name in ("reference", "compiled"):
             assert name in exc.message
 
     def test_unknown_request_kind_is_404(self):

@@ -209,15 +209,16 @@ class TestEngine:
             exc = err(kind, body)
             assert (exc.status, exc.code) == (400, "unknown-engine")
             # the 400 must enumerate every registered backend so a
-            # client can self-correct — vector included
-            for name in ("reference", "fast", "compiled", "vector"):
+            # client can self-correct
+            for name in ("reference", "compiled"):
                 assert name in exc.message
 
     def test_vector_engine_accepted(self):
+        # a retired name still parses, carried as the engine serving it
         spec = parse_request("simulate",
                              dict(self.NAMED, engine="vector"))
         [payload] = spec.worker_payloads()
-        assert payload["engine"] == "vector"
+        assert payload["engine"] == "compiled"
 
     def test_engine_changes_fingerprint_only_when_pinned(self):
         base = parse_request("simulate", dict(self.NAMED))
@@ -237,7 +238,8 @@ class TestEngine:
     def test_verify_engines_validated_and_deduped(self):
         spec = parse_request(
             "verify", {"seed": 1,
-                       "engines": ["compiled", "reference", "compiled"]})
+                       "engines": ["compiled", "reference", "vector",
+                                   "fast"]})
         assert spec.engines == ("compiled", "reference")
         [payload] = spec.worker_payloads()
         assert payload["engines"] == ["compiled", "reference"]
@@ -246,4 +248,6 @@ class TestEngine:
         assert err("verify", {"engines": "compiled"}).code == \
             "bad-engines"
         assert err("verify", {"engines": ["warp"]}).code == \
+            "unknown-engine"
+        assert err("verify", {"engines": [["compiled"]]}).code == \
             "unknown-engine"

@@ -77,3 +77,10 @@ class TestBenchmarkHooks:
                    for name in names
                    if not hasattr(importlib.import_module(module), name)]
         assert missing == []
+
+    def test_engine_registry_hooks(self):
+        # the benchmark wraps both registry entry points by attribute
+        from repro.core.engine import ENGINES
+        assert callable(ENGINES.create)
+        assert callable(ENGINES.batch)
+        assert ENGINES.batch("compiled") is None

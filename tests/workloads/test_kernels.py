@@ -11,6 +11,8 @@ import zlib
 import pytest
 
 from repro.isa import r, run_program
+from repro.isa.opcodes import OpClass
+from repro.pipeline.trace import generate_trace
 from repro.workloads import (
     ML_KERNELS,
     bitcount,
@@ -147,6 +149,15 @@ class TestSuiteRegistry:
                           or default_scale(suite, name))
         program.validate()
         assert len(program) > 5
+
+    @pytest.mark.parametrize("suite,name",
+                             [(s, n) for s, n, _ in all_benchmarks()])
+    def test_scale_one_halts(self, suite, name):
+        # the smallest scale serve accepts must still halt well inside
+        # the generator's instruction cap (which raises when hit)
+        trace = generate_trace(SUITES[suite][name](scale=1),
+                               max_instructions=300_000)
+        assert trace.entries[-1].cls is OpClass.HALT
 
 
 class TestSpecGenerator:
